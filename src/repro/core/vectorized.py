@@ -6,11 +6,15 @@ profiling-guided optimization of the per-node loops):
 
 1. the algorithm produces per-node tags and a sender mask;
 2. :func:`~repro.util.csrops.segmented_random_pick` chooses each sender's
-   proposal target uniformly among its eligible neighbors;
+   proposal target uniformly among its eligible neighbors (awake, and
+   allowed by the algorithm's optional per-entry mask); when every node
+   is awake and the algorithm restricts nothing, the kernel's unmasked
+   path draws directly from each row's degree;
 3. proposals to nodes that themselves (effectively) proposed are dropped —
    a proposer cannot receive;
-4. :func:`~repro.util.csrops.segmented_uniform_accept` has each remaining
-   target accept one proposal uniformly at random;
+4. :func:`~repro.util.csrops.segmented_uniform_accept_pairs` has each
+   remaining target accept one proposal uniformly at random and returns
+   the connected ``(receiver, winner)`` pairs, ascending by receiver;
 5. the algorithm applies the state exchange for the connected pairs.
 
 Algorithms plug in via :class:`VectorizedAlgorithm`, operating on a state
@@ -37,7 +41,6 @@ from repro.util.csrops import (
     unique_nodes,
     segmented_random_pick,
     segmented_random_pick_subset,
-    segmented_uniform_accept,
     segmented_uniform_accept_pairs,
 )
 from repro.util.rng import make_rng
@@ -475,15 +478,16 @@ class VectorizedEngine:
             tags = faults.corrupt_tags(tags, active)
 
         # Eligibility: target must be active; algorithms may restrict further.
-        flat = active[graph.indices]
+        # With everyone awake and no algorithm mask the kernel takes its
+        # unmasked path, which draws exactly what an all-true mask would.
         algo_flat = self.algo.eligible_flat(
             self.state, tags, graph, sender_mask, local_rounds
         )
-        if algo_flat is not None:
-            flat = flat & algo_flat
-
         picks = segmented_random_pick(
-            graph.indptr, graph.indices, rng, active=sender_mask, flat_mask=flat
+            graph.indptr, graph.indices, rng,
+            active=sender_mask,
+            neighbor_mask=None if active.all() else active,
+            flat_mask=algo_flat,
         )
         effective = picks >= 0  # senders that actually issued a proposal
         proposers = np.flatnonzero(effective)
@@ -497,9 +501,7 @@ class VectorizedEngine:
         keep = ~effective[targets]
         proposers, targets = proposers[keep], targets[keep]
 
-        accepted = segmented_uniform_accept(proposers, targets, self.n, rng)
-        acceptors = np.flatnonzero(accepted >= 0)
-        winners = accepted[acceptors]
+        acceptors, winners = segmented_uniform_accept_pairs(proposers, targets, rng)
 
         if faults is not None and acceptors.size:
             # Established connections drop before the payload exchange;

@@ -112,8 +112,6 @@ def _segmented_random_pick(
     pick = np.full(n, -1, dtype=np.int64)
     if active is None:
         active = np.ones(n, dtype=bool)
-    else:
-        _require_bool("active", active)
 
     if neighbor_mask is None and flat_mask is None:
         deg = indptr[1:] - indptr[:-1]
@@ -126,14 +124,6 @@ def _segmented_random_pick(
         pick[rows] = out
         return pick
 
-    if neighbor_mask is not None:
-        _require_bool("neighbor_mask", neighbor_mask)
-        if flat_mask is not None:
-            _require_bool("flat_mask", flat_mask)
-    else:
-        if flat_mask.shape != indices.shape:
-            raise ValueError("flat_mask must align with indices")
-        _require_bool("flat_mask", flat_mask)
     nmask, fmask, use_n, use_f = _masks(neighbor_mask, flat_mask)
     all_rows = np.arange(n, dtype=np.int64)
     counts = np.empty(n, dtype=np.int64)
@@ -168,14 +158,6 @@ def _segmented_random_pick_subset(
         pick[rows] = out
         return pick
 
-    if neighbor_mask is not None:
-        _require_bool("neighbor_mask", neighbor_mask)
-        if flat_mask is not None:
-            _require_bool("flat_mask", flat_mask)
-    else:
-        if flat_mask.shape != indices.shape:
-            raise ValueError("flat_mask must align with indices")
-        _require_bool("flat_mask", flat_mask)
     nmask, fmask, use_n, use_f = _masks(neighbor_mask, flat_mask)
     counts = np.empty(k, dtype=np.int64)
     _count_eligible(indptr, indices, vertices, nmask, fmask, use_n, use_f, counts)

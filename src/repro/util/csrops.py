@@ -95,6 +95,32 @@ def _require_bool(name: str, mask: np.ndarray) -> None:
         )
 
 
+def _check_masks(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    *,
+    active: np.ndarray | None = None,
+    neighbor_mask: np.ndarray | None = None,
+    flat_mask: np.ndarray | None = None,
+) -> None:
+    """Reject pick masks that are not boolean or do not match the CSR.
+
+    Checked once, before backend dispatch: a mis-shaped mask would
+    otherwise broadcast silently (a length-1 ``active`` makes every row
+    pick) or index past the arrays it is meant to align with.
+    """
+    n = indptr.shape[0] - 1
+    for name, mask, shape in (
+        ("active", active, (n,)),
+        ("neighbor_mask", neighbor_mask, (n,)),
+        ("flat_mask", flat_mask, indices.shape),
+    ):
+        if mask is not None:
+            _require_bool(name, mask)
+            if mask.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {mask.shape}")
+
+
 def build_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Build a CSR adjacency ``(indptr, indices)`` from an undirected edge list.
 
@@ -210,8 +236,6 @@ def _segmented_random_pick_numpy(
     pick = np.full(n, -1, dtype=np.int64)
     if active is None:
         active = np.ones(n, dtype=bool)
-    else:
-        _require_bool("active", active)
 
     if neighbor_mask is None and flat_mask is None:
         deg = csr_degrees(indptr)
@@ -228,15 +252,10 @@ def _segmented_random_pick_numpy(
     # number of eligible entries among ``flat[:i]`` (0 for ``i = 0``), so
     # per-row counts index ``csum`` directly — no shifted copy is built.
     if neighbor_mask is not None:
-        _require_bool("neighbor_mask", neighbor_mask)
         eligible = neighbor_mask[indices]
         if flat_mask is not None:
-            _require_bool("flat_mask", flat_mask)
             eligible = eligible & flat_mask
     else:
-        if flat_mask.shape != indices.shape:
-            raise ValueError("flat_mask must align with indices")
-        _require_bool("flat_mask", flat_mask)
         eligible = flat_mask
     if eligible.size == 0:
         return pick
@@ -286,15 +305,10 @@ def _segmented_random_pick_subset_numpy(
         return pick
     nbrs = indices[pos]
     if neighbor_mask is not None:
-        _require_bool("neighbor_mask", neighbor_mask)
         eligible = neighbor_mask[nbrs]
         if flat_mask is not None:
-            _require_bool("flat_mask", flat_mask)
             eligible = eligible & flat_mask[pos]
     else:
-        if flat_mask.shape != indices.shape:
-            raise ValueError("flat_mask must align with indices")
-        _require_bool("flat_mask", flat_mask)
         eligible = flat_mask[pos]
     csum = np.cumsum(eligible, dtype=np.int64)
     cnt_start = np.where(starts > 0, csum[starts - 1], 0)
@@ -488,7 +502,9 @@ def register_backend(name: str, table: dict[str, Callable]) -> None:
 
     ``table`` maps kernel names (a subset of the dispatched kernels) to
     implementations with the public signatures; kernels a backend omits
-    fall back to the ``numpy`` implementations.
+    fall back to the ``numpy`` implementations.  The segmented picks'
+    public wrappers check mask dtypes and shapes before dispatch, so
+    their implementations may assume valid masks.
     """
     unknown = set(table) - set(_DISPATCHED)
     if unknown:
@@ -567,6 +583,10 @@ def segmented_random_pick(
         ``pick`` of length ``n`` with ``pick[u]`` the chosen neighbor of
         ``u`` or ``-1``.
     """
+    _check_masks(
+        indptr, indices,
+        active=active, neighbor_mask=neighbor_mask, flat_mask=flat_mask,
+    )
     return _impl("segmented_random_pick")(
         indptr, indices, rng,
         active=active, neighbor_mask=neighbor_mask, flat_mask=flat_mask,
@@ -597,6 +617,9 @@ def segmented_random_pick_subset(
         ``pick`` aligned with ``vertices``: the chosen neighbor of
         ``vertices[i]`` or ``-1`` when no neighbor is eligible.
     """
+    _check_masks(
+        indptr, indices, neighbor_mask=neighbor_mask, flat_mask=flat_mask
+    )
     return _impl("segmented_random_pick_subset")(
         indptr, indices, rng, vertices,
         neighbor_mask=neighbor_mask, flat_mask=flat_mask,

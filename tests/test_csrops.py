@@ -11,7 +11,9 @@ from repro.util.csrops import (
     csr_degrees,
     gather_rows,
     segmented_random_pick,
+    segmented_random_pick_subset,
     segmented_uniform_accept,
+    segmented_uniform_accept_pairs,
     unique_nodes,
 )
 
@@ -217,6 +219,125 @@ class TestSegmentedRandomPick:
         a = segmented_random_pick(indptr, indices, rng1, neighbor_mask=mask)
         b = segmented_random_pick(indptr, indices, rng2, flat_mask=flat)
         assert np.array_equal(a, b)
+
+
+class TestMaskValidation:
+    """Every mis-shaped or non-boolean mask is rejected before any backend runs."""
+
+    BAD = {
+        "active_len1": dict(active=np.array([True])),
+        "active_short": dict(active=np.ones(2, dtype=bool)),
+        "neighbor_mask_len1": dict(neighbor_mask=np.array([True])),
+        "neighbor_mask_2d": dict(neighbor_mask=np.ones((1, 3), dtype=bool)),
+        "flat_mask_short": dict(flat_mask=np.ones(2, dtype=bool)),
+        "flat_mask_with_neighbor_mask": dict(
+            neighbor_mask=np.ones(3, dtype=bool), flat_mask=np.ones(5, dtype=bool)
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_pick_rejects(self, case):
+        indptr, indices = triangle_csr()
+        with pytest.raises(ValueError, match="must have shape"):
+            segmented_random_pick(
+                indptr, indices, np.random.default_rng(0), **self.BAD[case]
+            )
+
+    @pytest.mark.parametrize(
+        "case", sorted(k for k in BAD if not k.startswith("active"))
+    )
+    def test_pick_subset_rejects(self, case):
+        indptr, indices = triangle_csr()
+        with pytest.raises(ValueError, match="must have shape"):
+            segmented_random_pick_subset(
+                indptr, indices, np.random.default_rng(0), np.array([0, 2]),
+                **self.BAD[case],
+            )
+
+    @pytest.mark.parametrize("name", ["active", "neighbor_mask", "flat_mask"])
+    def test_pick_rejects_non_boolean(self, name):
+        indptr, indices = triangle_csr()
+        size = indices.size if name == "flat_mask" else 3
+        with pytest.raises(TypeError, match=name):
+            segmented_random_pick(
+                indptr, indices, np.random.default_rng(0),
+                **{name: np.ones(size, dtype=np.int64)},
+            )
+
+
+class TestKernelEquivalences:
+    """The single-trial round's fast forms draw exactly what the general forms draw.
+
+    Each pair must agree on the output *and* leave the generator in the same
+    state, so swapping one form for the other changes no later draw.
+    """
+
+    @staticmethod
+    def _setup(case, seed):
+        n, edges = case
+        indptr, indices = build_csr(n, edges)
+        masks = np.random.default_rng(seed + 1)
+        senders = masks.random(n) < 0.7
+        a = masks.random(n) < 0.6
+        f = masks.random(indices.size) < 0.6
+        return indptr, indices, senders, a, f
+
+    @staticmethod
+    def _same(run_a, run_b, seed):
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        out_a, out_b = run_a(ra), run_b(rb)
+        assert ra.bit_generator.state == rb.bit_generator.state
+        return out_a, out_b
+
+    @given(edge_lists(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60)
+    def test_unmasked_equals_all_true_flat_mask(self, case, seed):
+        indptr, indices, senders, _, _ = self._setup(case, seed)
+        everything = np.ones(indices.size, dtype=bool)
+        a, b = self._same(
+            lambda rng: segmented_random_pick(indptr, indices, rng, active=senders),
+            lambda rng: segmented_random_pick(
+                indptr, indices, rng, active=senders, flat_mask=everything
+            ),
+            seed,
+        )
+        assert np.array_equal(a, b)
+
+    @given(edge_lists(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60)
+    def test_neighbor_and_flat_equal_combined_flat(self, case, seed):
+        indptr, indices, senders, a, f = self._setup(case, seed)
+        x, y = self._same(
+            lambda rng: segmented_random_pick(
+                indptr, indices, rng, active=senders, neighbor_mask=a, flat_mask=f
+            ),
+            lambda rng: segmented_random_pick(
+                indptr, indices, rng, active=senders, flat_mask=a[indices] & f
+            ),
+            seed,
+        )
+        assert np.array_equal(x, y)
+
+    @given(edge_lists(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60)
+    def test_pairs_equal_dense_accept(self, case, seed):
+        n, _ = case
+        props = np.random.default_rng(seed + 2)
+        m = int(props.integers(0, 3 * n))
+        proposers = props.integers(0, n, size=m)
+        targets = props.integers(0, n, size=m)
+
+        def dense(rng):
+            accepted = segmented_uniform_accept(proposers, targets, n, rng)
+            receivers = np.flatnonzero(accepted >= 0)
+            return receivers, accepted[receivers]
+
+        (ra, wa), (rb, wb) = self._same(
+            lambda rng: segmented_uniform_accept_pairs(proposers, targets, rng),
+            dense,
+            seed,
+        )
+        assert np.array_equal(ra, rb) and np.array_equal(wa, wb)
 
 
 class TestSegmentedUniformAccept:
