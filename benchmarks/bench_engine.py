@@ -172,6 +172,16 @@ def test_batched_random_pick(benchmark):
     benchmark(lambda: batched_random_pick(g.indptr, g.indices, rng, active))
 
 
+def test_random_regular_build(benchmark):
+    """Graph construction at n=2^17, d=8: sampling, vectorized multigraph
+    repair, CSR build, canonical edges and the connectivity check."""
+    g = benchmark.pedantic(
+        families.random_regular, args=(1 << 17, DEGREE), kwargs={"seed": 0},
+        rounds=3, iterations=1,
+    )
+    assert g.n == 1 << 17 and g.is_connected()
+
+
 # ---------------------------------------------------------------------------
 # Churn + fault tier: cross-configuration ratios with asserted targets
 # ---------------------------------------------------------------------------

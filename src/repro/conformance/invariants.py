@@ -66,6 +66,7 @@ import numpy as np
 
 from repro.core.trace import BatchedTrace, Trace
 from repro.graphs.dynamic import DynamicGraph, epoch_of_round
+from repro.util.csrops import unique_nodes
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.faults.plan import FaultPlan
@@ -270,7 +271,7 @@ def _check_round(
     # A node proposes at most once per round.
     if proposals.size:
         senders = proposals[:, 0]
-        if np.unique(senders).size != senders.size:
+        if unique_nodes(senders).size != senders.size:
             out.append(
                 Violation(
                     rule="proposals-on-edges",
@@ -282,7 +283,7 @@ def _check_round(
     # connection-exclusivity: each node in at most one connection.
     if connections.size:
         flat = connections.ravel()
-        if np.unique(flat).size != flat.size:
+        if unique_nodes(flat).size != flat.size:
             out.append(
                 Violation(
                     rule="connection-exclusivity",

@@ -298,12 +298,15 @@ def _repair_multigraph_vectorized(
     """
     m = u.shape[0]
     key = np.minimum(u, v) * n + np.maximum(u, v)
-    order = np.argsort(key, kind="stable")
-    sorted_keys = key[order]
+    sorted_keys = np.sort(key)
     # Every occurrence of a duplicated key beyond its first is bad; the
     # first occurrence stays put (rewiring the others makes it unique).
+    # Only the few positions whose key repeats need the stable order.
+    repeated = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    repeats = np.flatnonzero(np.isin(key, repeated))
+    order = repeats[np.argsort(key[repeats], kind="stable")]
     dup_follow = np.zeros(m, dtype=bool)
-    dup_follow[order[1:]] = sorted_keys[1:] == sorted_keys[:-1]
+    dup_follow[order[1:]] = key[order[1:]] == key[order[:-1]]
     pending = np.flatnonzero(dup_follow | (u == v)).tolist()
     if not pending:
         return True

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.util.csrops import build_csr, csr_degrees, gather_rows
+from repro.util.csrops import build_csr, csr_degrees, gather_rows, unique_nodes
 
 __all__ = ["Graph"]
 
@@ -31,7 +31,7 @@ class Graph:
         are rejected.
     """
 
-    __slots__ = ("_n", "_indptr", "_indices", "_edges")
+    __slots__ = ("_n", "_indptr", "_indices", "_edges", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if n <= 0:
@@ -40,15 +40,18 @@ class Graph:
             [(u, v) for (u, v) in edges] if not isinstance(edges, np.ndarray) else edges,
             dtype=np.int64,
         ).reshape(-1, 2)
+        self._n = int(n)
+        # The CSR depends only on the edge set, and building it validates
+        # the endpoints, so the composite key below cannot overflow.
+        self._indptr, self._indices = build_csr(self._n, edge_arr)
         # Canonicalize edge orientation (min, max) and sort for stable equality.
         if edge_arr.size:
             lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
             hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
-            edge_arr = np.stack([lo, hi], axis=1)
-            edge_arr = edge_arr[np.lexsort((edge_arr[:, 1], edge_arr[:, 0]))]
-        self._n = int(n)
-        self._indptr, self._indices = build_csr(self._n, edge_arr)
+            key = np.sort(lo * self._n + hi)
+            edge_arr = np.stack([key // self._n, key % self._n], axis=1)
         self._edges = edge_arr
+        self._connected: bool | None = None
         self._edges.setflags(write=False)
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
@@ -73,6 +76,7 @@ class Graph:
         graph._indptr = indptr
         graph._indices = indices
         graph._edges = edges
+        graph._connected = None
         for arr in (indptr, indices, edges):
             if arr.flags.writeable:
                 arr.setflags(write=False)
@@ -144,42 +148,47 @@ class Graph:
     # -- structure --------------------------------------------------------
 
     def is_connected(self) -> bool:
-        """True when the graph is connected (single vertex counts as connected)."""
-        if self._n == 1:
-            return True
-        seen = np.zeros(self._n, dtype=bool)
-        frontier = np.array([0], dtype=np.int64)
-        seen[0] = True
-        while frontier.size:
-            # Expand the whole frontier at once via CSR gather.
-            nxt = gather_rows(self._indptr, self._indices, frontier)
-            if nxt.size == 0:
-                break
-            nxt = nxt[~seen[nxt]]
-            if nxt.size == 0:
-                break
-            nxt = np.unique(nxt)
-            seen[nxt] = True
-            frontier = nxt
-        return bool(seen.all())
+        """True when the graph is connected (single vertex counts as connected).
+
+        Computed once and cached: the graph is immutable.
+        """
+        if self._connected is None:
+            seen = np.zeros(self._n, dtype=bool)
+            frontier = np.array([0], dtype=np.int64)
+            seen[0] = True
+            while frontier.size:
+                # Expand the whole frontier at once via CSR gather.
+                nxt = gather_rows(self._indptr, self._indices, frontier)
+                frontier = unique_nodes(nxt[~seen[nxt]])
+                seen[frontier] = True
+            self._connected = bool(seen.all())
+        return self._connected
 
     def connected_components(self) -> list[np.ndarray]:
-        """Vertex sets of the connected components (each sorted)."""
-        comp = np.full(self._n, -1, dtype=np.int64)
-        cid = 0
-        for root in range(self._n):
-            if comp[root] >= 0:
-                continue
-            comp[root] = cid
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for v in self.neighbors(u):
-                    if comp[v] < 0:
-                        comp[v] = cid
-                        stack.append(int(v))
-            cid += 1
-        return [np.flatnonzero(comp == c) for c in range(cid)]
+        """Vertex sets of the connected components (each sorted), ordered
+        by smallest vertex.
+
+        Labels every vertex with the smallest vertex of its component by
+        hook-and-shortcut: each pass hooks every tree root onto the
+        smallest root across its arcs, then pointer jumping flattens the
+        trees.  A few passes suffice, where a BFS per component would pay
+        one round of array calls per level of every component.
+        """
+        label = np.arange(self._n, dtype=np.int64)
+        src = np.repeat(label, self.degrees)
+        while True:
+            lu, lv = label[src], label[self._indices]
+            hook = lu > lv
+            if not hook.any():
+                break
+            np.minimum.at(label, lu[hook], lv[hook])
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
+        order = np.argsort(label, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
     def relabel(self, perm: np.ndarray) -> "Graph":
         """Return the isomorphic graph with vertex ``u`` renamed ``perm[u]``."""

@@ -61,6 +61,7 @@ At runtime, :func:`set_backend` switches backends and the module-level
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, Sequence
 
@@ -121,13 +122,19 @@ def _check_masks(
                 raise ValueError(f"{name} must have shape {shape}, got {mask.shape}")
 
 
+#: Largest vertex count whose composite arc key ``src * n + dst`` fits in
+#: int64; :func:`build_csr` and the graph layer sort on that one key.
+MAX_KEYED_N = math.isqrt(2**63 - 1)
+
+
 def build_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Build a CSR adjacency ``(indptr, indices)`` from an undirected edge list.
 
     Parameters
     ----------
     n
-        Number of vertices (labelled ``0..n-1``).
+        Number of vertices (labelled ``0..n-1``), at most
+        :data:`MAX_KEYED_N`.
     edges
         ``(m, 2)`` integer array of undirected edges.  Self-loops and
         duplicate edges are rejected.
@@ -138,24 +145,26 @@ def build_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Standard CSR row pointers (length ``n + 1``) and, for each vertex,
         its sorted neighbor list.
     """
+    if n > MAX_KEYED_N:
+        raise ValueError(
+            f"n={n} exceeds {MAX_KEYED_N}, the largest vertex count whose "
+            "composite edge key src*n + dst fits in int64"
+        )
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoint out of range")
     if edges.size and np.any(edges[:, 0] == edges[:, 1]):
         raise ValueError("self-loops are not allowed")
-    # Symmetrize: each undirected edge contributes two directed arcs.
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    if src.size:
-        dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-        if np.any(dup):
-            raise ValueError("duplicate edges are not allowed")
+    # Symmetrize: each undirected edge contributes two directed arcs, and
+    # one sort of the arc keys ``src * n + dst`` orders them by row, then
+    # by neighbor.
+    src, dst = edges[:, 0], edges[:, 1]
+    key = np.sort(np.concatenate([src * n + dst, dst * n + src]))
+    if np.any(key[1:] == key[:-1]):
+        raise ValueError("duplicate edges are not allowed")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, dst
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return indptr, key % n
 
 
 def csr_degrees(indptr: np.ndarray) -> np.ndarray:
