@@ -102,9 +102,9 @@ class RoundCoordinator:
 
     # -- control-plane helpers ------------------------------------------------
 
-    async def _send(self, node: int, kind: int, obj=None) -> None:
+    async def _send(self, node: int, frame: bytes) -> None:
         handle = self._handles[node]
-        handle.writer.write(wire.frame_bytes(kind, obj))
+        handle.writer.write(frame)
         await handle.writer.drain()
         self.frames_sent += 1
 
@@ -131,7 +131,10 @@ class RoundCoordinator:
         adjacency = {v: graph.neighbors(v).tolist() for v in range(self.n)}
         for v in range(self.n):
             await self._send(
-                v, wire.WELCOME, {"peers": peers, "neighbors": adjacency[v]}
+                v,
+                wire.frame_bytes(
+                    wire.WELCOME, {"peers": peers, "neighbors": adjacency[v]}
+                ),
             )
         await asyncio.gather(
             *(self._expect(v, wire.READY) for v in range(self.n))
@@ -154,38 +157,41 @@ class RoundCoordinator:
             # Fault directives first, each acked before the barrier
             # releases: a victim's socket FIN is then queued at every
             # peer before any ROUND frame arrives (happens-before chain).
-            for v in crashed_now:
-                await self._send(v, wire.CRASH, {"r": r})
-            for v in crashed_now:
-                await self._expect(v, wire.READY)
+            if crashed_now:
+                crash = wire.frame_bytes(wire.CRASH, {"r": r})
+                for v in crashed_now:
+                    await self._send(v, crash)
+                for v in crashed_now:
+                    await self._expect(v, wire.READY)
             resets = self.faults.resets_at(r)
             for v in rejoining:
                 await self._send(
                     v,
-                    wire.REJOIN,
-                    {
-                        "r": r,
-                        "reset": v in resets,
-                        "down": sorted(down),
-                        "rejoining": rejoining,
-                        "neighbors": adjacency[v],
-                    },
+                    wire.frame_bytes(
+                        wire.REJOIN,
+                        {
+                            "r": r,
+                            "reset": v in resets,
+                            "down": sorted(down),
+                            "rejoining": rejoining,
+                            "neighbors": adjacency[v],
+                        },
+                    ),
                 )
             for v in rejoining:
                 await self._expect(v, wire.READY)
 
             live = [v for v in range(self.n) if v not in down]
-            for v in live:
-                await self._send(
-                    v,
-                    wire.ROUND,
-                    {
-                        "r": r,
-                        "down": sorted(down),
-                        "rejoining": rejoining,
-                        "neighbors": adjacency[v] if epoch_changed else None,
-                    },
-                )
+            body = {"r": r, "down": sorted(down), "rejoining": rejoining}
+            if epoch_changed:  # every node gets its own new adjacency
+                for v in live:
+                    body["neighbors"] = adjacency[v]
+                    await self._send(v, wire.frame_bytes(wire.ROUND, body))
+            else:  # one body for every live node: encode it once
+                body["neighbors"] = None
+                frame = wire.frame_bytes(wire.ROUND, body)
+                for v in live:
+                    await self._send(v, frame)
             reports = dict(
                 zip(
                     live,
@@ -204,8 +210,9 @@ class RoundCoordinator:
                 break
             down_prev = down
 
+        stop = wire.frame_bytes(wire.STOP)
         for v in range(self.n):
-            await self._send(v, wire.STOP)
+            await self._send(v, stop)
 
     # -- report validation + trace assembly -----------------------------------
 

@@ -155,18 +155,21 @@ class LiveNode:
                 f"{proto.tag_length} bits"
             )
         live = [v for v in self._neighbors if v not in down]
-        hello = {"r": r, "tag": tag}
-        for v in live:
-            await self.channels.channels[v].send(wire.HELLO, hello)
+        chans = [self.channels.channels[v] for v in live]
+        # Each phase's shared frame is encoded once and written to every
+        # live edge.
+        hello = wire.frame_bytes(wire.HELLO, wire.RoundValue(r, tag))
+        for ch in chans:
+            await ch.send(hello)
         tags: dict[int, int] = {}
-        for v in live:
-            got = await self.channels.channels[v].expect((wire.HELLO,), r)
+        for v, ch in zip(live, chans):
+            got = await ch.expect((wire.HELLO,), r)
             if got is None:
                 raise ChannelError(
                     f"node {self.node_id}: channel to live neighbor {v} "
                     f"closed during round {r} scan"
                 )
-            peer_tag = int(got[1]["tag"])
+            peer_tag = got[1].value
             if not self._tag_ok(peer_tag):
                 raise ModelViolation(
                     f"node {self.node_id} received tag {peer_tag} from {v} "
@@ -189,15 +192,13 @@ class LiveNode:
                     f"node {self.node_id} proposed to {target}, not a live "
                     f"neighbor in round {r}"
                 )
-        body = {"r": r}
-        for v in live:
-            kind = wire.PROPOSE if v == target else wire.NOPROPOSE
-            await self.channels.channels[v].send(kind, body)
+            propose = wire.frame_bytes(wire.PROPOSE, wire.RoundValue(r, 0))
+        nopropose = wire.frame_bytes(wire.NOPROPOSE, wire.RoundValue(r, 0))
+        for v, ch in zip(live, chans):
+            await ch.send(propose if v == target else nopropose)
         proposers = []
-        for v in live:
-            got = await self.channels.channels[v].expect(
-                (wire.PROPOSE, wire.NOPROPOSE), r
-            )
+        for v, ch in zip(live, chans):
+            got = await ch.expect((wire.PROPOSE, wire.NOPROPOSE), r)
             if got is None:
                 raise ChannelError(
                     f"node {self.node_id}: channel to live neighbor {v} "
@@ -208,27 +209,29 @@ class LiveNode:
         proposers.sort()
 
         # Phase C: one acceptance verdict per incoming proposal.
+        channels = self.channels.channels
         accepted_from = None
         connection = None
         if target is not None:
-            for v in proposers:  # a proposer cannot accept (model rule)
-                await self.channels.channels[v].send(
-                    wire.ACCEPT, {"r": r, "ok": False}
-                )
-            got = await self.channels.channels[target].expect((wire.ACCEPT,), r)
+            if proposers:  # a proposer cannot accept (model rule)
+                reject = wire.frame_bytes(wire.ACCEPT, wire.RoundValue(r, 0))
+                for v in proposers:
+                    await channels[v].send(reject)
+            got = await channels[target].expect((wire.ACCEPT,), r)
             if got is None:
                 raise ChannelError(
                     f"node {self.node_id}: channel to proposal target {target} "
                     f"closed during round {r} acceptance"
                 )
-            if got[1]["ok"]:
+            if got[1].value:
                 connection = (self.node_id, target)
         elif proposers:
             winner = proposers[int(self.accept_rng.integers(0, len(proposers)))]
+            verdicts = [
+                wire.frame_bytes(wire.ACCEPT, wire.RoundValue(r, ok)) for ok in (0, 1)
+            ]
             for v in proposers:
-                await self.channels.channels[v].send(
-                    wire.ACCEPT, {"r": r, "ok": v == winner}
-                )
+                await channels[v].send(verdicts[v == winner])
             accepted_from = winner
             connection = (winner, self.node_id)
 
@@ -249,10 +252,10 @@ class LiveNode:
                         f"node {self.node_id} composed a non-Message"
                     )
                 self.budget.validate(out)
-                await self.channels.channels[peer].send(
-                    wire.PAYLOAD, {"r": r, "msg": out}
+                await channels[peer].send(
+                    wire.frame_bytes(wire.PAYLOAD, {"r": r, "msg": out})
                 )
-                got = await self.channels.channels[peer].expect((wire.PAYLOAD,), r)
+                got = await channels[peer].expect((wire.PAYLOAD,), r)
                 if got is None:
                     raise ChannelError(
                         f"node {self.node_id}: connection peer {peer} closed "

@@ -12,13 +12,24 @@ a ``UID`` value, not as inspectable structure).
 
 Data-plane kinds (:data:`HELLO` … :data:`BYE`) mirror one model round:
 advertise, propose-or-decline, accept-or-reject, bounded payload
-exchange, goodbye.  Control-plane kinds carry the barrier coordinator's
+exchange, goodbye.  The four small ones (``HELLO``, ``PROPOSE``,
+``NOPROPOSE``, ``ACCEPT``) carry one :class:`RoundValue` — the round
+number and one integer (the tag, 0, 0, ``ok``) — in a fixed-width
+17-byte body: tag ``R`` then ``!qq``.  It is one more tag of the same
+codec, so :func:`decode` stays the only decoder, and a body of any other
+length is rejected.  ``PAYLOAD`` and every control-plane frame keep the
+tagged encoding.  Control-plane kinds carry the barrier coordinator's
 round synchronization and fault directives.
+
+Data channels parse frames in a protocol callback
+(:class:`repro.live.channels.EdgeChannel`); the control plane reads them
+with :func:`read_frame` from a stream.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +37,7 @@ from repro.core.payload import IDPair, Message, UID
 
 __all__ = [
     "WireError",
+    "RoundValue",
     "encode",
     "decode",
     "frame_bytes",
@@ -39,6 +51,7 @@ __all__ = [
     "ACCEPT",
     "PAYLOAD",
     "BYE",
+    "ROUND_VALUE_KINDS",
     "WELCOME",
     "READY",
     "ROUND",
@@ -66,6 +79,8 @@ ACCEPT = 5
 PAYLOAD = 6
 #: Graceful end-of-run close of a data channel.
 BYE = 7
+#: Data frames whose body is one fixed-width :class:`RoundValue`.
+ROUND_VALUE_KINDS = frozenset((HELLO, PROPOSE, NOPROPOSE, ACCEPT))
 
 #: Coordinator → node: full peer table + initial adjacency.
 WELCOME = 8
@@ -109,11 +124,21 @@ class WireError(RuntimeError):
     """A frame could not be encoded or decoded."""
 
 
+class RoundValue(NamedTuple):
+    """Fixed-width body of the four small data frames: a round number and
+    one integer (``HELLO``: the tag; ``ACCEPT``: ``ok`` as 0/1; 0 for
+    ``PROPOSE``/``NOPROPOSE``)."""
+
+    r: int
+    value: int
+
+
 #: Upper bound on a frame body; far above any budgeted payload, low
 #: enough that a corrupt length prefix cannot trigger a giant read.
 MAX_FRAME = 1 << 20
 
 _HEADER = struct.Struct("!IB")
+_ROUND_VALUE = struct.Struct("!qq")
 _F64 = struct.Struct("!d")
 _U32 = struct.Struct("!I")
 
@@ -133,6 +158,9 @@ _T_DICT = b"d"
 _T_UID = b"U"
 _T_IDPAIR = b"P"
 _T_MESSAGE = b"M"
+_T_ROUND = b"R"
+_ROUND_SIZE = 1 + _ROUND_VALUE.size
+_new_tuple = tuple.__new__
 
 
 def _enc_int(value: int, out: bytearray) -> None:
@@ -145,7 +173,13 @@ def _enc_int(value: int, out: bytearray) -> None:
 
 
 def _enc(obj, out: bytearray) -> None:
-    if obj is None:
+    if type(obj) is RoundValue:
+        out += _T_ROUND
+        try:
+            out += _ROUND_VALUE.pack(obj.r, obj.value)
+        except struct.error as exc:
+            raise WireError(f"round value {tuple(obj)} does not fit !qq") from exc
+    elif obj is None:
         out += _T_NONE
     elif obj is True:
         out += _T_TRUE
@@ -227,6 +261,12 @@ def _dec_int(buf: bytes, pos: int) -> tuple[int, int]:
 def _dec(buf: bytes, pos: int):
     _need(buf, pos, 1)
     tag = buf[pos : pos + 1]
+    if tag == _T_ROUND:
+        _need(buf, pos, _ROUND_SIZE)
+        return (
+            _new_tuple(RoundValue, _ROUND_VALUE.unpack_from(buf, pos + 1)),
+            pos + _ROUND_SIZE,
+        )
     if tag == _T_NONE:
         return None, pos + 1
     if tag == _T_TRUE:
@@ -245,7 +285,7 @@ def _dec(buf: bytes, pos: int):
         pos += 4
         _need(buf, pos, length)
         raw = buf[pos : pos + length]
-        return (raw.decode("utf-8") if tag == _T_STR else raw), pos + length
+        return (raw.decode("utf-8") if tag == _T_STR else bytes(raw)), pos + length
     if tag in (_T_LIST, _T_TUPLE):
         _need(buf, pos, 4)
         count = _U32.unpack_from(buf, pos)[0]
@@ -284,9 +324,20 @@ def _dec(buf: bytes, pos: int):
     raise WireError(f"unknown wire tag {tag!r}")
 
 
-def decode(buf: bytes):
-    """Deserialize one value; the buffer must hold exactly one value."""
-    obj, pos = _dec(buf, 0)
+def decode(buf: bytes | bytearray):
+    """Deserialize one value; the buffer must hold exactly one value.
+
+    Any malformed body raises :class:`WireError`, never another type.
+    """
+    if len(buf) == _ROUND_SIZE and buf[0] == _T_ROUND[0]:
+        # The small data frames' body: skip the general walk.
+        return _new_tuple(RoundValue, _ROUND_VALUE.unpack_from(buf, 1))
+    try:
+        obj, pos = _dec(buf, 0)
+    except (ValueError, TypeError, RecursionError) as exc:
+        # Bad UTF-8, an unhashable dict key, a model type rejecting its
+        # fields, nesting deeper than the interpreter allows.
+        raise WireError(f"malformed frame body: {exc}") from exc
     if pos != len(buf):
         raise WireError(f"{len(buf) - pos} trailing bytes after value")
     return obj

@@ -65,6 +65,26 @@ class TestWireCodec:
         with pytest.raises(wire.WireError):
             wire.decode(wire.encode(1) + b"\x00")
 
+    def test_round_value_is_fixed_width(self):
+        body = wire.encode(wire.RoundValue(3, 1))
+        assert len(body) == 17 and body[:1] == b"R"
+        out = wire.decode(body)
+        assert type(out) is wire.RoundValue and out == (3, 1)
+        nested = wire.decode(wire.encode([wire.RoundValue(-2, 5)]))
+        assert type(nested[0]) is wire.RoundValue and nested == [(-2, 5)]
+        for bad in (body[:-1], body + b"\x00"):  # strict length
+            with pytest.raises(wire.WireError):
+                wire.decode(bad)
+
+    def test_round_value_out_of_range_rejected(self):
+        with pytest.raises(wire.WireError, match="does not fit"):
+            wire.encode(wire.RoundValue(1, 2**63))
+
+    def test_malformed_body_raises_wire_error_only(self):
+        for body in (b"s\x00\x00\x00\x01\xff", b"d\x00\x00\x00\x01l\x00\x00\x00\x00Z"):
+            with pytest.raises(wire.WireError):
+                wire.decode(body)
+
     def test_frame_header(self):
         buf = wire.frame_bytes(wire.HELLO, {"r": 1, "tag": 0})
         length, kind = wire._HEADER.unpack(buf[: wire._HEADER.size])
